@@ -1,4 +1,4 @@
-"""Timing/metrics harness shared by jobs/ and benchmarks/.
+"""Timing/metrics harness shared by the jobs/ entrypoints.
 
 All timing-sensitive comparisons run the *local* kernel — mirroring the
 paper's single-machine C++ setting — because every configuration shares the
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..graphs.catalog import GRAPH_NAMES, edges_for
 from ..mce.bitgraph import LocalGraph
@@ -183,5 +181,4 @@ __all__ = [
     "cliques_by_degree",
     "graph_stats_local",
     "GRAPH_NAMES",
-    "np",
 ]

@@ -88,7 +88,8 @@ def reduce_forbidden(
 
     A vertex with ``ignoreId[u] < i`` is dropped iff following dominators
     reaches a vertex retained in this subproblem; a dominance cycle keeps
-    its max-rank member. Returns the retained ``X`` in original order.
+    its max-rank member. A vertex without an ``ignore_id`` entry is kept.
+    Returns the retained ``X`` in original order.
     """
     status: dict[int, int] = {}
 
@@ -123,7 +124,7 @@ def reduce_forbidden(
 
     out: list[int] = []
     for u in x_ids:
-        if ignore_id[u] >= i:
+        if ignore_id.get(u, i) >= i:
             out.append(u)
         elif resolve(u) == _RETAIN:
             out.append(u)

@@ -177,19 +177,22 @@ def _edge_step(edges: DataFrame) -> tuple[DataFrame, DataFrame, int]:
     return remove_edges(edges, nte), cliques, n_nte
 
 
-def global_reduce_spark(
-    spark: SparkSession, edges: DataFrame, max_rounds: int = 200
-) -> SparkReductionResult:
-    """Run global reduction to fixpoint. Returns surviving edges + cliques."""
+def global_reduce_spark(spark: SparkSession, edges: DataFrame) -> SparkReductionResult:
+    """Run global reduction to fixpoint. Returns surviving edges + cliques.
+
+    Rounds repeat until one changes nothing. Every step that fires deletes
+    at least one edge, so there are at most ``m_before - m_after + 1`` rounds.
+    """
     edges = edges.localCheckpoint(eager=True)
     n0 = vertices(edges).count()
     m0 = edges.count()
     clique_parts: list[DataFrame] = []
     rounds = 0
+    changed = 1
     # localCheckpoint after *every* sub-step: the degree-2 step alone
     # self-joins the adjacency several times, so stacking three steps per
     # round on raw lineage explodes the logical plan exponentially.
-    for _ in range(max_rounds):
+    while changed:
         changed = 0
         for step in (
             _degree1_step,
@@ -203,8 +206,6 @@ def global_reduce_spark(
                 clique_parts.append(cl.localCheckpoint(eager=True))
             changed += c
         rounds += 1
-        if changed == 0:
-            break
     cliques = spark.createDataFrame([], _CLIQUE_SCHEMA)
     for p in clique_parts:
         cliques = cliques.union(p)

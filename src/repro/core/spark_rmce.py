@@ -16,9 +16,11 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    triangle join, forbidden rows (``N⁻(v)`` with rank/ignoreId/dominator),
    and forbidden-candidate adjacency rows. This ships exactly the
    neighborhood intersections the recursion needs — nothing hub-sized.
-5. **Kernel**: ``groupBy(task).applyInPandas`` runs the *same* bitmask
-   recursion as the local engine (chain-sound forbidden-set drop included)
-   and emits clique rows plus one metrics row per task.
+5. **Kernel**: ``groupBy(task).applyInPandas`` decodes each task's rows
+   into a task-local ``LocalGraph`` and runs the local engine's per-root
+   step, ``engine.solve_root`` (chain-sound forbidden-set drop, subproblem
+   build and recursion included), then emits clique rows plus the task's
+   ``Metrics`` counters as one metrics row.
 
 Output cliques are canonical comma-joined id strings (matching
 ``spark_global``), unioned with the reduction's pre-reported cliques.
@@ -33,23 +35,19 @@ from pyspark.sql import types as T
 
 from ..gx.graph import canonicalize, symmetrize
 from ..gx.kcore import degeneracy_order_spark
-from ..mce.bitgraph import Subproblem
+from ..mce.bitgraph import LocalGraph
+from ..mce.engine import solve_root
 from ..mce.metrics import Metrics
-from ..mce.recursions import run_subproblem
-from .forbidden_reduction import reduce_forbidden
 from .spark_global import SparkReductionResult, global_reduce_spark
 
 # Payload row kinds shipped to each task group.
 _CAND, _PP, _X, _XP = 0, 1, 2, 3
 
+# ``Metrics`` counters each task's metrics row carries (clique rows hold 0).
+_COUNTERS = ("recursive_calls", "subproblems", "x_before", "x_after", "subproblems_reduced")
 _OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("clique", T.StringType()),
-        T.StructField("calls", T.LongType()),
-        T.StructField("x_before", T.LongType()),
-        T.StructField("x_after", T.LongType()),
-        T.StructField("x_reduced", T.LongType()),
-    ]
+    [T.StructField("clique", T.StringType())]
+    + [T.StructField(k, T.LongType()) for k in _COUNTERS]
 )
 
 
@@ -109,84 +107,66 @@ def _ignore_table(oriented: DataFrame) -> DataFrame:
     )
 
 
+def _oriented(edges: DataFrame, ranks: DataFrame) -> DataFrame:
+    """Rank-oriented edge table ``(v, u, rv, ru)`` with rank(v) < rank(u),
+    from canonical ``edges`` and ``ranks`` ``(v, rank)``."""
+    return (
+        symmetrize(edges)
+        .join(ranks.withColumnRenamed("v", "src").withColumnRenamed("rank", "r_src"), "src")
+        .join(ranks.withColumnRenamed("v", "dst").withColumnRenamed("rank", "r_dst"), "dst")
+        .where(F.col("r_src") < F.col("r_dst"))
+        .select(
+            F.col("src").alias("v"),
+            F.col("dst").alias("u"),
+            F.col("r_src").cast("long").alias("rv"),
+            F.col("r_dst").cast("long").alias("ru"),
+        )
+    )
+
+
 def _make_kernel(recursion: str, dynamic: bool, maxcheck: bool):
-    """Build the applyInPandas kernel (closure carries the configuration)."""
+    """Build the applyInPandas kernel (closure carries the configuration):
+    decode one task's payload rows and run the engine's ``solve_root``."""
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _run_task(pdf, recursion, dynamic, maxcheck)
-
-    def _run_task(pdf: pd.DataFrame, recursion, dynamic, maxcheck) -> pd.DataFrame:
         root = int(pdf["task"].iloc[0])
-        kinds = pdf["kind"].to_numpy()
-        a = pdf["a"].to_numpy()
-        b = pdf["b"].to_numpy()
-        c = pdf["c"].to_numpy()
-        d = pdf["d"].to_numpy()
-        root_rank = None
+        i = 0
         cands: list[tuple[int, int]] = []  # (rank, vertex)
-        pp: list[tuple[int, int]] = []
         xrows: list[tuple[int, int, int, int]] = []  # (x, rank, ignore, dom)
-        xp: list[tuple[int, int]] = []
-        for k in range(len(kinds)):
-            kd = kinds[k]
+        pairs: list[tuple[int, int]] = []  # P×P and X×P adjacency
+        cols = (pdf[c].tolist() for c in ("kind", "a", "b", "c", "d"))
+        for kd, a, b, c, d in zip(*cols):
             if kd == _CAND:
-                cands.append((int(b[k]), int(a[k])))
-                root_rank = int(c[k])
-            elif kd == _PP:
-                pp.append((int(a[k]), int(b[k])))
+                cands.append((b, a))
+                i = c
             elif kd == _X:
-                xrows.append((int(a[k]), int(b[k]), int(c[k]), int(d[k])))
+                xrows.append((a, b, c, d))
             else:
-                xp.append((int(a[k]), int(b[k])))
+                pairs.append((a, b))
         cands.sort()
-        p_ids = [v for _, v in cands]
+        p_ids = [u for _, u in cands]
         x_ids = [x for x, _, _, _ in xrows]
-        i = root_rank if root_rank is not None else 0
-        if maxcheck and xrows:
-            n_sentinel = 1 << 60
-            ignore_id = {x: (ig if ig >= 0 else n_sentinel) for x, _, ig, _ in xrows}
-            ignore_dom = {x: dm for x, _, ig, dm in xrows if ig >= 0}
-            rank = {x: r for x, r, _, _ in xrows}
-            x_kept = reduce_forbidden(x_ids, i, ignore_id, ignore_dom, rank)
-        else:
-            x_kept = x_ids
+        g = LocalGraph({u: set() for u in p_ids + x_ids})
+        for a, b in pairs:
+            g.adj[a].add(b)
+            g.adj[b].add(a)
+        ignore_id = {x: ig for x, _, ig, _ in xrows if ig >= 0} if maxcheck else None
+        ignore_dom = {x: dm for x, _, ig, dm in xrows if ig >= 0}
+        rank = {x: r for x, r, _, _ in xrows}
         metrics = Metrics()
         cliques: list[str] = []
 
         def report(vs) -> None:
             cliques.append(",".join(str(t) for t in sorted(vs)))
 
-        if p_ids:
-            pos = {v: j for j, v in enumerate(p_ids)}
-            p = len(p_ids)
-            ids = p_ids + x_kept
-            adj = [0] * len(ids)
-            for u, w in pp:
-                ju, jw = pos.get(u), pos.get(w)
-                if ju is not None and jw is not None:
-                    adj[ju] |= 1 << jw
-                    adj[jw] |= 1 << ju
-            xpos = {x: p + j for j, x in enumerate(x_kept)}
-            for x, w in xp:
-                jx, jw = xpos.get(x), pos.get(w)
-                if jx is not None and jw is not None:
-                    adj[jx] |= 1 << jw
-                    adj[jw] |= 1 << jx
-            sub = Subproblem(root=root, ids=ids, adj=adj, p=p)
-            run_subproblem(sub, recursion, dynamic, report, metrics)
-        rows = [(cl, 0, 0, 0, 0) for cl in cliques]
-        rows.append(
-            (
-                None,
-                metrics.recursive_calls,
-                len(x_ids),
-                len(x_kept),
-                1 if len(x_kept) < len(x_ids) else 0,
-            )
+        solve_root(
+            g, root, i, p_ids, x_ids, ignore_id, ignore_dom, rank,
+            recursion, dynamic, report, metrics,
         )
-        return pd.DataFrame(
-            rows, columns=["clique", "calls", "x_before", "x_after", "x_reduced"]
-        )
+        zeros = (0,) * len(_COUNTERS)
+        rows = [(cl, *zeros) for cl in cliques]
+        rows.append((None, *(getattr(metrics, k) for k in _COUNTERS)))
+        return pd.DataFrame(rows, columns=_OUT_SCHEMA.fieldNames())
 
     return kernel
 
@@ -211,18 +191,7 @@ def enumerate_cliques_spark(
     order_df, lam = degeneracy_order_spark(spark, edges)
     ranks = order_df.select("v", "rank")
     sym = symmetrize(edges)
-    oriented = (
-        sym.join(ranks.withColumnRenamed("v", "src").withColumnRenamed("rank", "r_src"), "src")
-        .join(ranks.withColumnRenamed("v", "dst").withColumnRenamed("rank", "r_dst"), "dst")
-        .where(F.col("r_src") < F.col("r_dst"))
-        .select(
-            F.col("src").alias("v"),
-            F.col("dst").alias("u"),
-            F.col("r_src").cast("long").alias("rv"),
-            F.col("r_dst").cast("long").alias("ru"),
-        )
-        .localCheckpoint(eager=True)
-    )
+    oriented = _oriented(edges, ranks).localCheckpoint(eager=True)
 
     ignore = _ignore_table(oriented) if maxcheck else None
 
@@ -311,20 +280,14 @@ def enumerate_cliques_spark(
     cliques = out.where(F.col("clique").isNotNull()).select("clique")
     if pre is not None:
         cliques = cliques.union(pre)
-    agg = out.where(F.col("clique").isNull()).agg(
-        F.sum("calls").alias("calls"),
-        F.sum("x_before").alias("xb"),
-        F.sum("x_after").alias("xa"),
-        F.sum("x_reduced").alias("xr"),
-        F.count("*").alias("tasks"),
-    ).collect()[0]
+    agg = (
+        out.where(F.col("clique").isNull())
+        .agg(*(F.sum(k).alias(k) for k in _COUNTERS))
+        .collect()[0]
+    )
     return SparkMCEResult(
         cliques=cliques.localCheckpoint(eager=True),
         degeneracy=lam,
-        recursive_calls=int(agg["calls"] or 0),
-        subproblems=int(agg["tasks"] or 0),
-        x_before=int(agg["xb"] or 0),
-        x_after=int(agg["xa"] or 0),
-        subproblems_reduced=int(agg["xr"] or 0),
+        **{k: int(agg[k] or 0) for k in _COUNTERS},
         reduction=reduction,
     )

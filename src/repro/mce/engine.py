@@ -15,8 +15,9 @@ maxcheck=False            Table 3 "Variant3"
 
 The outer loop is the degeneracy decomposition shared by all four methods
 (Algorithm 2 lines 1-3 / Algorithm 4): for each vertex ``v`` in degeneracy
-order, solve the induced subproblem ``(R={v}, P=N⁺(v), X=N⁻(v))``. The same
-kernel runs inside Spark tasks (``repro.core.spark_rmce``).
+order, solve the induced subproblem ``(R={v}, P=N⁺(v), X=N⁻(v))``. That
+per-root step is ``solve_root``; every Spark task (``repro.core.spark_rmce``)
+runs it unchanged on the subproblem it is shipped.
 """
 from __future__ import annotations
 
@@ -44,6 +45,48 @@ class EngineResult:
     @property
     def n_cliques(self) -> int:
         return len(self.cliques)
+
+
+def solve_root(
+    g: LocalGraph,
+    v: int,
+    i: int,
+    p_ids: list[int],
+    x_ids: list[int],
+    ignore_id: dict[int, int] | None,
+    ignore_dom: dict[int, int],
+    rank: dict[int, int],
+    recursion: str,
+    dynamic: bool,
+    report,
+    metrics: Metrics,
+) -> None:
+    """Solve the subproblem ``(R={v}, P=p_ids, X=x_ids)`` of the vertex at
+    order position ``i``: the per-root step of the local engine and of every
+    Spark task.
+
+    ``p_ids`` is ``N⁺(v)`` in rank order and ``x_ids`` is ``N⁻(v)``. With an
+    ``ignore_id`` table (maxcheck on), ``X`` first loses the vertices the
+    chain-sound Algorithm 8 drop allows (a vertex without an entry is kept);
+    ``rank`` must cover ``X`` and ``ignore_dom`` every entry. ``g`` must hold
+    the adjacency among ``P`` and between ``X`` and ``P``.
+    Adds this subproblem's Fig. 10 counts to ``metrics``.
+    """
+    metrics.subproblems += 1
+    metrics.x_before += len(x_ids)
+    if ignore_id is not None:
+        x_kept = reduce_forbidden(x_ids, i, ignore_id, ignore_dom, rank)
+    else:
+        x_kept = x_ids
+    metrics.x_after += len(x_kept)
+    if len(x_kept) < len(x_ids):
+        metrics.subproblems_reduced += 1
+    if not p_ids and x_kept:
+        # No candidates and maximality already broken: skip the frame
+        # entirely (still a subproblem for the Fig. 10 accounting above).
+        return
+    sub = build_subproblem(g, v, p_ids, x_kept)
+    run_subproblem(sub, recursion, dynamic, report, metrics)
 
 
 def enumerate_cliques(
@@ -87,22 +130,12 @@ def enumerate_cliques(
     for i, v in enumerate(order):
         p_ids = sorted(nplus[v], key=rank.__getitem__)
         x_ids = [u for u in g2.adj[v] if rank[u] < i]
-        metrics.subproblems += 1
-        metrics.x_before += len(x_ids)
+        solve_root(
+            g2, v, i, p_ids, x_ids, ignore_id, ignore_dom, rank,
+            recursion, dynamic, report, metrics,
+        )
         if ignore_id is not None:
-            x_kept = reduce_forbidden(x_ids, i, ignore_id, ignore_dom, rank)
             update_ignore_ids(ignore_id, ignore_dom, v, i, p_ids, nplus, rank)
-        else:
-            x_kept = x_ids
-        metrics.x_after += len(x_kept)
-        if len(x_kept) < len(x_ids):
-            metrics.subproblems_reduced += 1
-        if not p_ids and x_kept:
-            # No candidates and maximality already broken: skip the frame
-            # entirely (still a subproblem for the Fig. 10 accounting above).
-            continue
-        sub = build_subproblem(g2, v, p_ids, x_kept)
-        run_subproblem(sub, recursion, dynamic, report, metrics)
 
     metrics.cliques = len(reported)
     return EngineResult(

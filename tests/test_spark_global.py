@@ -51,6 +51,17 @@ def test_decomposition_preserves_cliques(reduced, name):
 
 
 @pytest.mark.parametrize("name", GRAPHS)
+def test_fixpoint_reached(reduced, name):
+    """The loop stops only at a true fixpoint (no rule applies to the
+    residual graph), within the one-edge-per-round bound."""
+    _, r = reduced[name]
+    g = LocalGraph.from_edges([(row["src"], row["dst"]) for row in r.edges.collect()])
+    assert all(len(nb) >= 3 for nb in g.adj.values())
+    assert all(g.adj[u] & g.adj[v] for u, v in g.edges())
+    assert r.rounds <= r.m_before - r.m_after + 1
+
+
+@pytest.mark.parametrize("name", GRAPHS)
 def test_no_duplicate_reports(reduced, name):
     _, r = reduced[name]
     assert r.cliques.count() == r.cliques.distinct().count()

@@ -2,15 +2,15 @@
 from __future__ import annotations
 
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.forbidden_reduction import compute_ignore_ids
-from repro.core.spark_rmce import _ignore_table, enumerate_cliques_spark
+from repro.core.spark_rmce import _COUNTERS, _ignore_table, _oriented, enumerate_cliques_spark
 from repro.graphs.catalog import edges_for
-from repro.gx.graph import edges_df, symmetrize
+from repro.gx.graph import edges_df
 from repro.gx.kcore import degeneracy_order_spark
 from repro.mce.bitgraph import LocalGraph
-from repro.mce.engine import enumerate_cliques
+from repro.mce.engine import enumerate_cliques, solve_root
+from repro.mce.metrics import Metrics
 from repro.mce.reference import maximal_cliques_bruteforce
 
 
@@ -75,18 +75,7 @@ def test_ignore_table_matches_local(spark):
     order = [v for v, _ in sorted(rank.items(), key=lambda kv: kv[1])]
     g = LocalGraph.from_edges(e)
     local_id, local_dom = compute_ignore_ids(g, order, rank)
-    sym = symmetrize(df)
-    oriented = (
-        sym.join(ranks.withColumnRenamed("v", "src").withColumnRenamed("rank", "r_src"), "src")
-        .join(ranks.withColumnRenamed("v", "dst").withColumnRenamed("rank", "r_dst"), "dst")
-        .where(F.col("r_src") < F.col("r_dst"))
-        .select(
-            F.col("src").alias("v"),
-            F.col("dst").alias("u"),
-            F.col("r_src").cast("long").alias("rv"),
-            F.col("r_dst").cast("long").alias("ru"),
-        )
-    )
+    oriented = _oriented(df, ranks)
     got = {r["v"]: (r["ignore_id"], r["dom"]) for r in _ignore_table(oriented).collect()}
     n = len(order)
     for v in order:
@@ -95,3 +84,30 @@ def test_ignore_table_matches_local(spark):
             assert local_dom[v] == got[v][1], f"dominator mismatch at {v}"
         else:
             assert local_id[v] == n, f"{v} has a local entry but no Spark row"
+
+
+@pytest.mark.parametrize("recursion", ["pivot", "rcd"])
+def test_tasks_run_the_engine_step(spark, recursion):
+    """Every Spark task runs ``solve_root``: replaying it locally for each
+    vertex with candidates, on the distributed order and the closed-form
+    ignoreId table, gives the same cliques and the same counters."""
+    e = edges_for("ca-CondMat", "unit")
+    df = edges_df(spark, e).localCheckpoint(eager=True)
+    res = enumerate_cliques_spark(spark, df, recursion, False, True, True)
+    order_df, _ = degeneracy_order_spark(spark, df)
+    rank = {r["v"]: r["rank"] for r in order_df.select("v", "rank").collect()}
+    order = sorted(rank, key=rank.__getitem__)
+    g = LocalGraph.from_edges(e)
+    ignore_id, ignore_dom = compute_ignore_ids(g, order, rank)
+    cliques: set[tuple[int, ...]] = set()
+    metrics = Metrics()
+    for i, v in enumerate(order):
+        p_ids = sorted((u for u in g.adj[v] if rank[u] > i), key=rank.__getitem__)
+        if p_ids:
+            x_ids = [u for u in g.adj[v] if rank[u] < i]
+            solve_root(
+                g, v, i, p_ids, x_ids, ignore_id, ignore_dom, rank, recursion,
+                True, lambda vs: cliques.add(tuple(sorted(vs))), metrics,
+            )
+    assert _collect(res) == cliques
+    assert {k: getattr(res, k) for k in _COUNTERS} == {k: getattr(metrics, k) for k in _COUNTERS}
