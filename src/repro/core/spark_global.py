@@ -1,23 +1,35 @@
 """Global reduction as a distributed dataflow (paper §4 on Spark).
 
-Each fixpoint round applies three batch sub-steps, recomputing degrees
-between them so every rule evaluates on a consistent snapshot:
+Each fixpoint round applies two batch sub-steps, recomputing degrees and
+supports between them so every rule evaluates on a consistent snapshot:
 
-1. **Degree-1 batch** (Lemma 2): every edge with a degree-1 endpoint is a
-   maximal 2-clique; all such edges are independent rewrites, so the whole
-   batch is sound (an isolated edge appears once in the edge table and is
-   therefore reported once).
-2. **Degree-2 batch** (Lemma 3), restricted to a *distance-2 independent
+1. **Degree-2 batch** (Lemma 3), restricted to a *distance-2 independent
    set* of the degree-2 candidates (a candidate fires only if it has the
    minimum id among candidates sharing a neighbor): concurrent firings then
    touch disjoint edge sets and cannot invalidate each other's
    common-neighbor tests, making the batch equivalent to some sequential
    application order. The min-id candidate always fires, so rounds make
    progress; random ids give geometric convergence.
-3. **Non-triangle edge batch** (Lemma 4): support-0 edges are independent
+2. **Non-triangle edge batch** (Lemma 4): support-0 edges are independent
    maximal 2-cliques; deleting all of them at once is sound because support
    is computed on the snapshot and deletions only lower other edges'
    support (caught next round).
+
+The degree-1 rule (Lemma 2) needs no batch of its own: an edge with a
+degree-1 endpoint has support 0, so the Lemma-4 batch reports it as the same
+maximal 2-clique and deletes it. The fixpoint is unchanged — residual degree
+≥ 3 and every edge in a triangle — and it is the largest subgraph with those
+two properties, which no rule ever deletes from, so the residual graph does
+not depend on the order the rules fire in. The local Algorithm 5
+(``global_reduction.global_reduce_local``) keeps Lemma 2 as printed.
+
+Each sub-step materialises its decision once, as one eagerly checkpointed
+table: the firing degree-2 candidates with their neighbor pair and the two
+Lemma-3 flags, or the non-triangle edges. Its row count is the firing count,
+and the reported cliques and the dropped edges are projections of it, so the
+self-join lineage behind a decision is evaluated once. The degree-2 step
+first checks that there is a candidate at all, which is never so in the
+final round.
 
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.
@@ -25,12 +37,13 @@ reports nothing). Cliques are emitted as canonical comma-joined id strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..gx.graph import degrees, remove_edges, symmetrize, vertices
+from ..gx.graph import degrees, remove_edges, symmetrize
 from ..gx.triangles import non_triangle_edges
 
 _CLIQUE_SCHEMA = T.StructType([T.StructField("clique", T.StringType())])
@@ -43,6 +56,10 @@ def _clique2(a, b):
 def _clique3(a, b, c):
     arr = F.array_sort(F.array(a.cast("long"), b.cast("long"), c.cast("long")))
     return F.array_join(F.transform(arr, lambda x: x.cast("string")), ",")
+
+
+def _edge(a, b):
+    return F.struct(F.least(a, b).alias("src"), F.greatest(a, b).alias("dst"))
 
 
 @dataclass
@@ -66,34 +83,17 @@ class SparkReductionResult:
         return 1.0 - self.m_after / self.m_before if self.m_before else 0.0
 
 
-def _degree1_step(edges: DataFrame) -> tuple[DataFrame, DataFrame, int]:
-    deg = degrees(edges)
-    d1 = deg.where(F.col("degree") == 1).select("v")
-    # NB: USING-key semi-joins move the key column first — select explicitly
-    # before the positional union or src/dst get silently swapped.
-    hit = (
-        edges.join(d1.withColumnRenamed("v", "src"), "src", "left_semi")
-        .select("src", "dst")
-        .union(
-            edges.join(d1.withColumnRenamed("v", "dst"), "dst", "left_semi")
-            .select("src", "dst")
-        )
-        .distinct()
-    )
-    n_hit = hit.count()
-    if n_hit == 0:
-        return edges, None, 0
-    cliques = hit.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
-    return remove_edges(edges, hit), cliques, n_hit
+def _size(edges: DataFrame) -> tuple[int, int]:
+    """``(vertices, edges)`` of a canonical edge table, in one action."""
+    n, twice_m = symmetrize(edges).agg(F.countDistinct("src"), F.count("*")).collect()[0]
+    return n, twice_m // 2
 
 
-def _degree2_step(
-    spark: SparkSession, edges: DataFrame
-) -> tuple[DataFrame, DataFrame, int]:
-    deg = degrees(edges)
-    cand = deg.where(F.col("degree") == 2).select("v")
-    if cand.isEmpty():
-        return edges, None, 0
+def _degree2_decision(edges: DataFrame, cand: DataFrame) -> DataFrame:
+    """Lemma 3's firing batch: ``(v, u, w, adj, shared)`` per firing
+    degree-2 candidate ``v`` (from ``cand``) with neighbors ``u < w``;
+    ``adj`` says whether ``(u, w)`` is an edge, ``shared`` whether ``u`` and
+    ``w`` have a common neighbor besides ``v``."""
     sym = symmetrize(edges)
     # Incident rows of candidates: exactly two per candidate.
     inc = sym.join(cand.withColumnRenamed("v", "src"), "src", "left_semi").select(
@@ -118,63 +118,70 @@ def _degree2_step(
         .where(F.col("min_other").isNull() | (F.col("v") < F.col("min_other")))
         .select("v")
     )
-    n_fire = fire.count()
-    if n_fire == 0:
-        return edges, None, 0
-    # Neighbor pair (u, w) of each firing candidate, u < w.
     pair = (
         inc.join(fire, "v", "left_semi")
         .groupBy("v")
         .agg(F.min("nbr").alias("u"), F.max("nbr").alias("w"))
+        .join(
+            edges.select(F.col("src").alias("u"), F.col("dst").alias("w"), F.lit(True).alias("adj")),
+            ["u", "w"],
+            "left",
+        )
     )
-    # Is (u, w) an edge, and do u, w share a neighbor besides v?
-    uw_adj = pair.join(
-        edges.select(F.col("src").alias("u"), F.col("dst").alias("w")),
-        ["u", "w"],
-        "left_semi",
-    ).select("v", "u", "w")
     n1 = sym.select(F.col("src").alias("u"), F.col("dst").alias("t"))
     n2 = sym.select(F.col("src").alias("w"), F.col("dst").alias("t"))
-    other_common = (
-        uw_adj.join(n1, "u")
+    shared = (
+        pair.where(F.col("adj"))
+        .join(n1, "u")
         .join(n2, ["w", "t"])
         .where(F.col("t") != F.col("v"))
-        .select("v")
+        .select("v", F.lit(True).alias("shared"))
         .distinct()
     )
-    adj = uw_adj
-    nonadj = pair.join(uw_adj.select("v"), "v", "left_anti")
-    # Reports.
-    cl_nonadj = nonadj.select(
+    return pair.join(shared, "v", "left").select(
+        "v",
+        "u",
+        "w",
+        F.coalesce("adj", F.lit(False)).alias("adj"),
+        F.coalesce("shared", F.lit(False)).alias("shared"),
+    )
+
+
+def _degree2_step(edges: DataFrame) -> tuple[int, DataFrame, DataFrame]:
+    """Lemma 3 batch: ``(firings, cliques, dropped edges)``."""
+    cand = degrees(edges).where(F.col("degree") == 2).select("v").localCheckpoint(eager=True)
+    # The fixpoint has no degree-2 vertex: in the final round, which only
+    # confirms that nothing fires, this skips the self-joins.
+    if cand.isEmpty():
+        return 0, None, None
+    fired = _degree2_decision(edges, cand).localCheckpoint(eager=True)
+    v, u, w, adj = F.col("v"), F.col("u"), F.col("w"), F.col("adj")
+    cliques = fired.select(
         F.explode(
-            F.array(_clique2(F.col("v"), F.col("u")), _clique2(F.col("v"), F.col("w")))
+            F.when(adj, F.array(_clique3(v, u, w))).otherwise(
+                F.array(_clique2(v, u), _clique2(v, w))
+            )
         ).alias("clique")
     )
-    cl_adj = adj.select(_clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique"))
-    cliques = cl_nonadj.union(cl_adj)
-    # Edge deletions: both candidate edges always; (u, w) too when adjacent
-    # and no other common neighbor (Lemma 3 case 2).
-    del_vu = pair.select(
-        F.least("v", "u").alias("src"), F.greatest("v", "u").alias("dst")
+    # Both candidate edges always; (u, w) too when adjacent and no other
+    # common neighbor (Lemma 3 case 2).
+    drops = (
+        fired.select(
+            F.explode(
+                F.array(_edge(v, u), _edge(v, w), F.when(adj & ~F.col("shared"), _edge(u, w)))
+            ).alias("e")
+        )
+        .where(F.col("e").isNotNull())
+        .select("e.src", "e.dst")
     )
-    del_vw = pair.select(
-        F.least("v", "w").alias("src"), F.greatest("v", "w").alias("dst")
-    )
-    del_uw = (
-        adj.join(other_common, "v", "left_anti")
-        .select(F.least("u", "w").alias("src"), F.greatest("u", "w").alias("dst"))
-    )
-    drops = del_vu.union(del_vw).union(del_uw)
-    return remove_edges(edges, drops), cliques, n_fire
+    return fired.count(), cliques, drops
 
 
-def _edge_step(edges: DataFrame) -> tuple[DataFrame, DataFrame, int]:
-    nte = non_triangle_edges(edges)
-    n_nte = nte.count()
-    if n_nte == 0:
-        return edges, None, 0
+def _edge_step(edges: DataFrame) -> tuple[int, DataFrame, DataFrame]:
+    """Lemma 4 batch: ``(non-triangle edges, cliques, dropped edges)``."""
+    nte = non_triangle_edges(edges).localCheckpoint(eager=True)
     cliques = nte.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
-    return remove_edges(edges, nte), cliques, n_nte
+    return nte.count(), cliques, nte
 
 
 def global_reduce_spark(spark: SparkSession, edges: DataFrame) -> SparkReductionResult:
@@ -184,38 +191,29 @@ def global_reduce_spark(spark: SparkSession, edges: DataFrame) -> SparkReduction
     at least one edge, so there are at most ``m_before - m_after + 1`` rounds.
     """
     edges = edges.localCheckpoint(eager=True)
-    n0 = vertices(edges).count()
-    m0 = edges.count()
+    n0, m0 = _size(edges)
     clique_parts: list[DataFrame] = []
     rounds = 0
-    changed = 1
-    # localCheckpoint after *every* sub-step: the degree-2 step alone
-    # self-joins the adjacency several times, so stacking three steps per
-    # round on raw lineage explodes the logical plan exponentially.
+    changed = True
     while changed:
-        changed = 0
-        for step in (
-            _degree1_step,
-            lambda e: _degree2_step(spark, e),
-            _edge_step,
-        ):
-            edges, cl, c = step(edges)
-            if c:
-                edges = edges.localCheckpoint(eager=True)
-            if cl is not None:
-                clique_parts.append(cl.localCheckpoint(eager=True))
-            changed += c
+        changed = False
+        for step in (_degree2_step, _edge_step):
+            fired, cliques, drops = step(edges)
+            if fired:
+                clique_parts.append(cliques)
+                # Checkpoint so the next step's self-joins start from a
+                # materialised table instead of re-running this anti-join.
+                edges = remove_edges(edges, drops).localCheckpoint(eager=True)
+                changed = True
         rounds += 1
-    cliques = spark.createDataFrame([], _CLIQUE_SCHEMA)
-    for p in clique_parts:
-        cliques = cliques.union(p)
-    cliques = cliques.localCheckpoint(eager=True)
+    cliques = reduce(DataFrame.union, clique_parts, spark.createDataFrame([], _CLIQUE_SCHEMA))
+    n1, m1 = _size(edges)
     return SparkReductionResult(
         edges=edges,
-        cliques=cliques,
+        cliques=cliques.localCheckpoint(eager=True),
         n_before=n0,
         m_before=m0,
-        n_after=vertices(edges).count(),
-        m_after=edges.count(),
+        n_after=n1,
+        m_after=m1,
         rounds=rounds,
     )

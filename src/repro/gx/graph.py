@@ -22,7 +22,7 @@ def edges_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
     """Create a canonical edge DataFrame from an ``(m, 2)`` ndarray."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     pdf = pd.DataFrame({"src": e[:, 0], "dst": e[:, 1]})
-    return canonicalize(spark.createDataFrame(pdf))
+    return canonicalize(spark.createDataFrame(pdf, "src long, dst long"))
 
 
 def canonicalize(df: DataFrame) -> DataFrame:

@@ -11,16 +11,23 @@ degree ≤ k per round (stages k = 0, 1, 2, …), which preserves validity:
     exactly the vertex's core number (the graph surviving stage k is the
     (k+1)-core).
 
-Each round is a handful of DataFrame ops; ``localCheckpoint`` truncates the
-growing lineage (standard iterative-Spark hygiene).
+The state is one ``(v, degree)`` table of live vertices and their residual
+degrees. A round removes the batch and subtracts, from each surviving
+neighbor, the number of its edges into the batch (a join against the
+symmetrized adjacency, checkpointed once); the new state is checkpointed,
+which truncates the lineage. One aggregate per round counts the live
+vertices and reads their minimum degree, so the stage jumps straight to
+``k = max(k, min degree)`` instead of spending a round on every empty stage.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from functools import reduce
+
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .graph import degrees, remove_vertices
+from .graph import symmetrize
 
 _STAMP_SCHEMA = T.StructType(
     [
@@ -39,32 +46,21 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
     vertices never appear in the edge table and so are absent (they play no
     role in MCE under the ≥2-clique convention).
     """
-    from .graph import vertices
-
-    cur = edges.localCheckpoint(eager=True)
-    # Track the vertex set explicitly: a vertex whose last edge is removed
-    # becomes invisible in the edge table but still needs a removal stamp.
-    verts = vertices(cur).localCheckpoint(eager=True)
+    adj = symmetrize(edges).localCheckpoint(eager=True)
+    # A vertex whose last neighbor is removed stays here at degree 0, so it
+    # still gets a removal stamp.
+    deg = (
+        adj.groupBy(F.col("src").alias("v"))
+        .agg(F.count("*").alias("degree"))
+        .localCheckpoint(eager=True)
+    )
     stamp_batches: list[DataFrame] = []
-    empty = spark.createDataFrame([], _STAMP_SCHEMA)
     k = 0
     rnd = 0
-    lam = 0
-    n = verts.count()
-    while n > 0:
-        deg = degrees(cur)
-        low = (
-            verts.join(deg, "v", "left")
-            .select("v", F.coalesce("degree", F.lit(0)).alias("degree"))
-            .where(F.col("degree") <= k)
-            .select("v")
-            .localCheckpoint(eager=True)  # consumed by count/stamp/remove
-        )
-        n_low = low.count()
-        if n_low == 0:
-            k += 1
-            continue
-        lam = max(lam, k)
+    n, min_deg = deg.agg(F.count("*"), F.min("degree")).collect()[0]
+    while n:
+        k = max(k, min_deg)
+        low = deg.where(F.col("degree") <= k).select("v")
         stamp_batches.append(
             low.select(
                 "v",
@@ -73,26 +69,30 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
             )
         )
         rnd += 1
-        cur = remove_vertices(cur, low).localCheckpoint(eager=True)
-        verts = verts.join(low, "v", "left_anti")
-        if rnd % 4 == 0:  # bound the anti-join lineage without a
-            verts = verts.localCheckpoint(eager=True)  # checkpoint per round
-        n -= n_low
-    stamps = empty
-    for b in stamp_batches:
-        stamps = stamps.union(b)
-    return stamps.localCheckpoint(eager=True), lam
+        lost = (
+            adj.join(low.withColumnRenamed("v", "src"), "src", "left_semi")
+            .groupBy(F.col("dst").alias("v"))
+            .agg(F.count("*").alias("lost"))
+        )
+        deg = (
+            deg.where(F.col("degree") > k)
+            .join(lost, "v", "left")
+            .select("v", (F.col("degree") - F.coalesce("lost", F.lit(0))).alias("degree"))
+            .localCheckpoint(eager=True)
+        )
+        n, min_deg = deg.agg(F.count("*"), F.min("degree")).collect()[0]
+    stamps = reduce(DataFrame.union, stamp_batches, spark.createDataFrame([], _STAMP_SCHEMA))
+    return stamps.localCheckpoint(eager=True), k
 
 
 def degeneracy_order_df(stamps: DataFrame) -> DataFrame:
     """Attach the degeneracy-order rank: ``(v, core, round, rank)``.
 
-    Rank is the row number under ``(core is irrelevant —`` removal is
-    monotone in ``round)`` ordering by ``(round, v)``; ties inside a round
-    are ordered by id, which the batch-peeling argument allows.
+    Rank is the row number under the ``(round, v)`` ordering. ``core`` is
+    not needed as a key: it never decreases from one round to the next.
+    Ties inside a round are ordered by id, which the batch-peeling argument
+    allows.
     """
-    from pyspark.sql import Window
-
     w = Window.orderBy("round", "v")
     return stamps.withColumn("rank", F.row_number().over(w) - F.lit(1))
 

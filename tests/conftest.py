@@ -1,6 +1,8 @@
 """Shared helpers for the test suite (composes with the root conftest)."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,34 @@ def random_edges(n: int, p: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     rows = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
+
+
+_job_groups = itertools.count()
+
+
+def spark_jobs(spark, fn, *args):
+    """``(fn(*args), number of Spark jobs it ran)``, read from the status
+    tracker for a job group set around the call alone."""
+    sc = spark.sparkContext
+    group = f"job-count-{next(_job_groups)}"
+    sc.setJobGroup(group, fn.__name__)
+    try:
+        out = fn(*args)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def disjoint_union(edge_lists) -> np.ndarray:
+    """One edge array holding every graph, with ids offset per graph so the
+    whole battery runs through one Spark call."""
+    parts, base = [], 0
+    for edges in edge_lists:
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        parts.append(e + base)
+        base += int(e.max()) + 1 if len(e) else 0
+    return np.concatenate(parts)
 
 
 # Named small graphs with hand-checkable clique structure.

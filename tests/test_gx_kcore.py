@@ -1,6 +1,7 @@
 """Distributed batch peeling vs exact local peeling."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -8,6 +9,7 @@ from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df
 from repro.gx.kcore import degeneracy_order_df, peel
 from repro.mce.bitgraph import LocalGraph, degeneracy_order
+from tests.conftest import disjoint_union
 
 GRAPHS = ["ca-CondMat", "inf-road-usa", "sc-delaunay_n23"]
 
@@ -18,6 +20,31 @@ def _few_partitions(spark):
     spark.conf.set("spark.sql.shuffle.partitions", "8")
     yield
     spark.conf.set("spark.sql.shuffle.partitions", old)
+
+
+def _batch_peel(g: LocalGraph) -> dict[int, tuple[int, int]]:
+    """Stage/round batch peeling in pure Python: ``v -> (core, round)``.
+    At stage ``k``, repeatedly remove every vertex of residual degree ≤ ``k``
+    (one round per batch); when none is left at ``k``, ``k += 1``."""
+    deg = {v: len(nb) for v, nb in g.adj.items()}
+    stamps: dict[int, tuple[int, int]] = {}
+    k = rnd = 0
+    while len(stamps) < len(deg):
+        low = [v for v in deg if v not in stamps and deg[v] <= k]
+        if not low:
+            k += 1
+            continue
+        for v in low:
+            stamps[v] = (k, rnd)
+        for v in low:
+            for u in g.adj[v]:
+                deg[u] -= 1
+        rnd += 1
+    return stamps
+
+
+def _stamps(stamps) -> dict[int, tuple[int, int]]:
+    return {r["v"]: (r["core"], r["round"]) for r in stamps.collect()}
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +102,27 @@ def test_rank_is_dense_permutation(peeled, spark):
     lo, hi = order_df.agg(F.min("rank"), F.max("rank")).collect()[0]
     assert (lo, hi) == (0, n - 1)
     assert order_df.select("rank").distinct().count() == n
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_stamps_match_batch_peel_reference(peeled, name):
+    e, stamps, lam = peeled[name]
+    ref = _batch_peel(LocalGraph.from_edges(e))
+    assert _stamps(stamps) == ref
+    assert lam == max(c for c, _ in ref.values())
+
+
+def test_stamps_match_reference_on_fuzz_union(spark, fuzz_graphs):
+    """Components with different minimum degrees share one stage counter,
+    so the union exercises the jump of ``k`` over empty stages."""
+    e = disjoint_union([g.edges() for g in fuzz_graphs])
+    stamps, lam = peel(spark, edges_df(spark, e))
+    ref = _batch_peel(LocalGraph.from_edges(e))
+    assert _stamps(stamps) == ref
+    assert lam == max(c for c, _ in ref.values())
+
+
+def test_empty_graph(spark):
+    stamps, lam = peel(spark, edges_df(spark, np.empty((0, 2))))
+    assert stamps.count() == 0
+    assert lam == 0

@@ -1,6 +1,7 @@
 """End-to-end distributed RMCE vs the local engine (and brute force)."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.forbidden_reduction import compute_ignore_ids
@@ -52,6 +53,13 @@ def test_rcd_recursion_in_pipeline(spark):
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "rcd", True, True, True)
     assert _collect(res) == truth
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["all_on", "all_off"])
+def test_empty_graph(spark, on):
+    res = enumerate_cliques_spark(spark, edges_df(spark, np.empty((0, 2))), "pivot", on, on, on)
+    assert res.cliques.count() == 0
+    assert res.degeneracy == 0
 
 
 def test_metrics_surface(spark):
